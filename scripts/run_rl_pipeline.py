@@ -44,7 +44,7 @@ def main() -> None:
     print()
 
     pairs = PairSet(tuple(InterpolationPair(v.sigma, v.m) for v in verdicts if v.informative))
-    closed = conjugate_close(pairs, tol=1e-6)
+    closed = conjugate_close(pairs)
     model = interpolate_minimal(closed, r_max=4)
     print(f"minimal interpolant: order r = {model.order}")
     print(f"  p = {np.array2string(model.params.p, precision=4)}")

@@ -9,13 +9,10 @@ as a reduced-order difference-equation model.
 from .datasets import builtin_dataset, rl_circuit
 from .informativity import (
     DEFAULT_REL_TOL,
-    InclusionSystem,
     InformativityVerdict,
     RankTolerance,
-    build_inclusion_system,
     informative_sweep,
     is_informative,
-    numerical_rank,
     power_vector,
     transfer_value_from_data,
 )
@@ -30,12 +27,10 @@ from .interpolation import (
 )
 from .signals import DataSet, TimeSeries, hankel, hankel_trimmed, load_csv, save_csv
 from .systems import (
-    Polynomial,
     SystemParams,
     TransferValue,
     eval_transfer,
     explains_data,
-    poly_from_params,
     poly_zero_tol,
     simulate,
 )
@@ -45,18 +40,15 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_REL_TOL",
     "DataSet",
-    "InclusionSystem",
     "InformativityVerdict",
     "InterpolationCheck",
     "InterpolationPair",
     "PairSet",
-    "Polynomial",
     "RankTolerance",
     "ReducedModel",
     "SystemParams",
     "TimeSeries",
     "TransferValue",
-    "build_inclusion_system",
     "builtin_dataset",
     "conjugate_close",
     "eval_transfer",
@@ -67,8 +59,6 @@ __all__ = [
     "interpolate_minimal",
     "is_informative",
     "load_csv",
-    "numerical_rank",
-    "poly_from_params",
     "poly_zero_tol",
     "power_vector",
     "rl_circuit",

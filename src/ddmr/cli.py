@@ -201,7 +201,7 @@ def reduce(data_spec, order, sigmas, rank_rel_tol, rank_abs_tol, r_max, out, as_
             click.echo(f"not informative at sigma={format_complex(v.sigma)}", err=True)
         sys.exit(2)
     pairs = PairSet(tuple(InterpolationPair(v.sigma, v.m) for v in verdicts))
-    closed = conjugate_close(pairs, tol=1e-6)
+    closed = conjugate_close(pairs)
     policy = RankTolerance(rel_tol=rank_rel_tol, abs_tol=rank_abs_tol)
     model = interpolate_minimal(closed, r_max=r_max, tol_policy=policy)
     payload = model.to_json_dict()

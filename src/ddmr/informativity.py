@@ -1,19 +1,21 @@
 """Rank-based data informativity tests and transfer-value recovery.
 
 Whether input-output data pins down a system's transfer-function value at a
-point ``sigma`` reduces to two rank equalities on stacked Hankel matrices of
-the data. When both hold, the (unique) value is the last unknown of a small
-linear system and is recovered by a truncated-SVD least-squares solve.
+point ``sigma`` reduces to two rank conditions on the data stack
+``B = [H_n(U); H_n(Y)]`` extended by power columns of ``sigma``. ``B`` does
+not depend on ``sigma``, so it is factored once per (record, order) and every
+point is then decided by projecting its power columns off the range of
+``B``. When both conditions hold, the (unique) value falls out of the same
+projection as a one-unknown least-squares solve.
 
 Exact rank is a fiction in floating point, and doubly so for data recorded
 with a few printed decimals, so every decision here goes through an explicit
 :class:`RankTolerance` policy and every verdict reports the cutoff and the
-singular values it was applied to.
+quantities it was compared with.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,11 +25,8 @@ from .signals import DataSet, hankel
 __all__ = [
     "DEFAULT_REL_TOL",
     "RankTolerance",
-    "InclusionSystem",
     "InformativityVerdict",
     "power_vector",
-    "build_inclusion_system",
-    "numerical_rank",
     "is_informative",
     "transfer_value_from_data",
     "informative_sweep",
@@ -69,65 +68,22 @@ class RankTolerance:
         return float(self.abs_tol) if self.abs_tol is not None else self.rel_tol
 
 
-def power_vector(sigma: complex, degree: int) -> np.ndarray:
-    """Column of powers ``[1, sigma, sigma**2, ..., sigma**degree]``."""
+def power_vector(sigma: complex | np.ndarray, degree: int) -> np.ndarray:
+    """Column of powers ``[1, sigma, sigma**2, ..., sigma**degree]``.
+
+    Each power is the previous one times ``sigma`` (a running product), so
+    the recurrence ``w[k] = sigma * w[k-1]`` holds exactly, also where the
+    powers underflow into the subnormal range. A 1-D array of K points gives
+    the ``(degree + 1) x K`` matrix of their power columns.
+    """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    sigma = complex(sigma)
-    if not cmath.isfinite(sigma):
+    z = np.asarray(sigma, dtype=complex)
+    if not np.all(np.isfinite(z)):
         raise ValueError("sigma must be finite")
-    return sigma ** np.arange(degree + 1)
-
-
-@dataclass(frozen=True, eq=False)
-class InclusionSystem:
-    """Linear system whose solvability ties the data to a value at ``sigma``.
-
-    ``matrix`` is the (2n+2) x (T-n+2) complex block matrix
-    ``[[H_n(U), 0], [H_n(Y), -w]]`` with ``w = power_vector(sigma, n)``, and
-    ``rhs`` is ``[w; 0]``. The unknown vector splits as ``(xi, M)`` with the
-    candidate transfer value M in the last position; xi has ``T - n + 1``
-    entries and is generally non-unique even when M is pinned down.
-    """
-
-    matrix: np.ndarray
-    rhs: np.ndarray
-    sigma: complex
-    order: int
-
-    @property
-    def xi_size(self) -> int:
-        return self.matrix.shape[1] - 1
-
-
-def build_inclusion_system(data: DataSet, order: int, sigma: complex) -> InclusionSystem:
-    """Assemble the stacked data/value system at one interpolation point."""
-    _check_order_and_horizon(data, order)
-    Hu = hankel(data.input, order).astype(complex)
-    Hy = hankel(data.output, order).astype(complex)
-    w = power_vector(sigma, order)
-    zero_col = np.zeros((order + 1, 1), dtype=complex)
-    matrix = np.block([[Hu, zero_col], [Hy, -w[:, None]]])
-    rhs = np.concatenate([w, np.zeros(order + 1, dtype=complex)])
-    return InclusionSystem(matrix, rhs, complex(sigma), order)
-
-
-def numerical_rank(matrix: np.ndarray, tol_policy: RankTolerance | None = None) -> tuple[int, np.ndarray]:
-    """Thresholded SVD rank of a dense matrix.
-
-    Returns ``(rank, singular_values)`` so marginal decisions stay
-    auditable: the rank is the number of singular values above the policy's
-    cutoff for this matrix.
-    """
-    policy = tol_policy if tol_policy is not None else RankTolerance()
-    A = np.asarray(matrix)
-    if A.ndim != 2 or A.size == 0:
-        raise ValueError("matrix must be two-dimensional and nonempty")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("matrix entries must be finite")
-    s = np.linalg.svd(A, compute_uv=False)
-    tau = policy.threshold(s, A.shape)
-    return int(np.count_nonzero(s > tau)), s
+    factors = np.ones((degree + 1,) + z.shape, dtype=complex)
+    factors[1:] = z
+    return np.cumprod(factors, axis=0)
 
 
 @dataclass(frozen=True)
@@ -137,9 +93,10 @@ class InformativityVerdict:
     ``condition_a`` is the solvability test (augmented rank equals extended
     rank); ``condition_b`` is the uniqueness test (extended rank exceeds the
     base data rank by one). The point is informative exactly when both hold,
-    and ``m`` then carries the recovered value. ``spectra`` keeps the three
-    singular-value arrays for audit; ``tolerance_used`` is the shared cutoff
-    they were thresholded with.
+    and ``m`` then carries the recovered value with its ``solve_residual``.
+    ``tolerance_used`` is the cutoff of the record's data stack ``B``, shared
+    by every point of a sweep; ``spectra`` holds ``B``'s singular values and
+    the two projection norms that were compared with that cutoff.
     """
 
     sigma: complex
@@ -177,23 +134,68 @@ def _check_order_and_horizon(data: DataSet, order: int) -> None:
         raise ValueError(f"insufficient data for order {order}: horizon T={data.horizon}")
 
 
-def _solve_for_value(Hu: np.ndarray, Hy: np.ndarray, w: np.ndarray, tau: float) -> tuple[complex, float]:
-    """Minimum-norm truncated-SVD solve of the inclusion system.
+def informative_sweep(
+    data: DataSet,
+    order: int,
+    sigmas,
+    tol_policy: RankTolerance | None = None,
+) -> list[InformativityVerdict]:
+    """Decide informativity at every point of ``sigmas``, preserving order.
 
-    Singular values at or below ``tau`` are discarded, matching the rank
-    decisions made with the same cutoff. Returns the value component and the
-    2-norm residual of the returned solution.
+    The data stack ``B = [H_n(U); H_n(Y)]`` is factored once by a thin SVD;
+    its singular values above the policy cutoff ``tau`` span the numerical
+    range ``U_r`` (rank r). With ``w`` the power column of a point,
+    ``e = [0; w]`` and ``f = [w; 0]``:
+
+    - ``c = e - U_r U_r^T e`` leaves the range when ``||c|| > tau``
+      (condition b: the extended rank is r + 1);
+    - ``g = f - U_r U_r^T f`` minus its component ``t c`` along ``c`` leaves
+      ``d``; ``[w; 0]`` lies in the extended range when ``||d|| <= tau``
+      (condition a).
+
+    At an informative point the value is ``m = -t`` and ``||d||`` is the
+    residual of that solve. All points are decided together by matrix
+    products; no per-point factorisation is made.
     """
-    rows = Hu.shape[0]
-    A = np.block([[Hu.astype(complex), np.zeros((rows, 1), dtype=complex)],
-                  [Hy.astype(complex), -w[:, None]]])
-    b = np.concatenate([w, np.zeros(rows, dtype=complex)])
-    u, s, vh = np.linalg.svd(A, full_matrices=False)
-    keep = s > tau
-    coeffs = (u.conj().T[keep] @ b) / s[keep]
-    x = vh.conj().T[:, keep] @ coeffs
-    residual = float(np.linalg.norm(A @ x - b))
-    return complex(x[-1]), residual
+    policy = tol_policy if tol_policy is not None else RankTolerance()
+    _check_order_and_horizon(data, order)
+    base = np.vstack([hankel(data.input, order), hankel(data.output, order)])
+    u, s, _ = np.linalg.svd(base, full_matrices=False)
+    tau = policy.threshold(s, base.shape)
+    rank = int(np.count_nonzero(s > tau))
+    u_r = u[:, :rank]
+
+    points = np.asarray(list(sigmas), dtype=complex)
+    w = power_vector(points, order)
+    zero = np.zeros_like(w)
+    c = np.vstack([zero, w]) - u_r @ (u_r[order + 1 :].T @ w)
+    g = np.vstack([w, zero]) - u_r @ (u_r[: order + 1].T @ w)
+    c_sq = np.sum(np.abs(c) ** 2, axis=0)
+    c_norm = np.sqrt(c_sq)
+    cond_b = c_norm > tau
+    t = np.zeros(points.size, dtype=complex)
+    np.divide(np.sum(c.conj() * g, axis=0), c_sq, out=t, where=cond_b)
+    d_norm = np.linalg.norm(g - t * c, axis=0)
+    cond_a = d_norm <= tau
+
+    verdicts = []
+    for k, sigma in enumerate(points):
+        a, b = bool(cond_a[k]), bool(cond_b[k])
+        informative = a and b
+        verdicts.append(InformativityVerdict(
+            sigma=complex(sigma),
+            informative=informative,
+            m=complex(-t[k]) if informative else None,
+            condition_a=a,
+            condition_b=b,
+            rank_augmented=rank + b + (not a),
+            rank_extended=rank + b,
+            rank_base=rank,
+            tolerance_used=tau,
+            solve_residual=float(d_norm[k]) if informative else None,
+            spectra=(s, float(c_norm[k]), float(d_norm[k])),
+        ))
+    return verdicts
 
 
 def is_informative(
@@ -204,56 +206,10 @@ def is_informative(
 ) -> InformativityVerdict:
     """Decide informativity for interpolation at one point.
 
-    Three stacked matrices are ranked: the base data stack
-    ``[H_n(U); H_n(Y)]``, the extension by the power-vector column, and the
-    further augmentation by the right-hand side. All three share a single
-    cutoff computed from the largest (augmented) matrix, so the two rank
-    comparisons cannot be skewed by per-matrix thresholds. When both
-    conditions hold, the unique value is recovered and attached.
+    A sweep over the single point ``sigma``; see :func:`informative_sweep`.
+    When both conditions hold, the unique value is recovered and attached.
     """
-    policy = tol_policy if tol_policy is not None else RankTolerance()
-    _check_order_and_horizon(data, order)
-    Hu = hankel(data.input, order)
-    Hy = hankel(data.output, order)
-    w = power_vector(sigma, order)
-    zero_col = np.zeros((order + 1, 1), dtype=complex)
-
-    base = np.vstack([Hu, Hy])
-    extended = np.block([[Hu.astype(complex), zero_col], [Hy.astype(complex), w[:, None]]])
-    augmented = np.block([[Hu.astype(complex), zero_col, w[:, None]],
-                          [Hy.astype(complex), w[:, None], zero_col]])
-
-    s_aug = np.linalg.svd(augmented, compute_uv=False)
-    s_ext = np.linalg.svd(extended, compute_uv=False)
-    s_base = np.linalg.svd(base, compute_uv=False)
-    tau = policy.threshold(s_aug, augmented.shape)
-
-    rank_aug = int(np.count_nonzero(s_aug > tau))
-    rank_ext = int(np.count_nonzero(s_ext > tau))
-    rank_base = int(np.count_nonzero(s_base > tau))
-
-    condition_a = rank_aug == rank_ext
-    condition_b = rank_ext == rank_base + 1
-    informative = condition_a and condition_b
-
-    m: complex | None = None
-    residual: float | None = None
-    if informative:
-        m, residual = _solve_for_value(Hu, Hy, w, tau)
-
-    return InformativityVerdict(
-        sigma=complex(sigma),
-        informative=informative,
-        m=m,
-        condition_a=condition_a,
-        condition_b=condition_b,
-        rank_augmented=rank_aug,
-        rank_extended=rank_ext,
-        rank_base=rank_base,
-        tolerance_used=tau,
-        solve_residual=residual,
-        spectra=(s_aug, s_ext, s_base),
-    )
+    return informative_sweep(data, order, [sigma], tol_policy)[0]
 
 
 def transfer_value_from_data(
@@ -286,13 +242,3 @@ def transfer_value_from_data(
             f"{verdict.solve_residual:.3e} exceeds {reporting_tol:.3e} at sigma={complex(sigma)}"
         )
     return verdict.m, verdict.solve_residual
-
-
-def informative_sweep(
-    data: DataSet,
-    order: int,
-    sigmas,
-    tol_policy: RankTolerance | None = None,
-) -> list[InformativityVerdict]:
-    """Run :func:`is_informative` over a list of points, preserving order."""
-    return [is_informative(data, order, sigma, tol_policy) for sigma in sigmas]

@@ -33,6 +33,11 @@ __all__ = [
 # another; value consistency between partners has its own user-facing tol.
 _PARTNER_ATOL = 1e-12
 
+# How far a partner's value may stray from the conjugate of its mate. One
+# default for closing a set and for checking it, so that a set
+# ``conjugate_close`` accepts is never rejected by ``interpolate_minimal``.
+_CONJUGATE_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class InterpolationPair:
@@ -137,7 +142,7 @@ def _find_partner(pairs: list[InterpolationPair], sigma: complex) -> Interpolati
     return None
 
 
-def conjugate_close(pairs: PairSet, tol: float = 1e-8) -> PairSet:
+def conjugate_close(pairs: PairSet, tol: float = _CONJUGATE_TOL) -> PairSet:
     """Extend a pair set so every complex point has its conjugate partner.
 
     A real-coefficient interpolant forces conjugate values at conjugate
@@ -159,7 +164,7 @@ def conjugate_close(pairs: PairSet, tol: float = 1e-8) -> PairSet:
     return PairSet(tuple(out))
 
 
-def _require_conjugate_closed(pairs: PairSet, tol: float = 1e-8) -> None:
+def _require_conjugate_closed(pairs: PairSet, tol: float = _CONJUGATE_TOL) -> None:
     for pair in pairs.pairs:
         partner = _find_partner(list(pairs.pairs), pair.sigma.conjugate())
         if partner is None or abs(partner.m - pair.m.conjugate()) > tol:

@@ -18,10 +18,8 @@ from .signals import DataSet, TimeSeries, hankel, hankel_trimmed
 
 __all__ = [
     "SystemParams",
-    "Polynomial",
     "TransferValue",
     "TransferKind",
-    "poly_from_params",
     "poly_zero_tol",
     "eval_transfer",
     "simulate",
@@ -91,44 +89,6 @@ class SystemParams:
         return cls(int(obj["n"]), obj["p"], obj["q"])
 
 
-@dataclass(frozen=True, eq=False)
-class Polynomial:
-    """Ascending-power coefficient vector with explicit degree bookkeeping.
-
-    The stored length is the declared degree bound; trailing zeros are kept
-    so that, e.g., a numerator of an order-n model always carries n+1
-    coefficients even when strictly proper.
-    """
-
-    coeffs: np.ndarray
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return np.array_equal(self.coeffs, other.coeffs)
-
-    def __post_init__(self) -> None:
-        arr = np.atleast_1d(np.asarray(self.coeffs))
-        if not np.iscomplexobj(arr):
-            arr = arr.astype(float)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("coefficients must form a nonempty vector")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("coefficients must be finite")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
-
-    @property
-    def degree(self) -> int:
-        """Index of the highest nonzero coefficient; -1 for the zero polynomial."""
-        nz = np.flatnonzero(self.coeffs)
-        return int(nz[-1]) if nz.size else -1
-
-    def __call__(self, z: complex) -> complex:
-        return complex(npoly.polyval(z, self.coeffs))
-
-
 @dataclass(frozen=True)
 class TransferValue:
     """Outcome of evaluating a transfer function at one point.
@@ -153,16 +113,6 @@ class TransferValue:
             raise ValueError(f"kind {self.kind!r} must not carry m")
 
 
-def poly_from_params(params: SystemParams) -> tuple[Polynomial, Polynomial]:
-    """Denominator/numerator pair (P, Q) of the shift-operator form.
-
-    P is monic of degree exactly ``order``; Q has degree at most ``order``.
-    """
-    P = Polynomial(np.concatenate([params.p, [1.0]]))
-    Q = Polynomial(params.q)
-    return P, Q
-
-
 def poly_zero_tol(order: int, sigma: complex) -> float:
     """Absolute zero threshold for P(sigma), Q(sigma).
 
@@ -175,17 +125,17 @@ def poly_zero_tol(order: int, sigma: complex) -> float:
 def eval_transfer(params: SystemParams, sigma: complex, zero_tol: float | None = None) -> TransferValue:
     """Transfer-function value of the model at ``sigma``.
 
-    Returns Q(sigma)/P(sigma) when the denominator is nonzero (up to
-    ``zero_tol``), a "pole" when only P vanishes, and "indeterminate" when
-    both vanish.
+    With the monic denominator P = ``[p, 1]`` and the numerator Q = ``q``
+    (ascending powers), returns Q(sigma)/P(sigma) when the denominator is
+    nonzero (up to ``zero_tol``), a "pole" when only P vanishes, and
+    "indeterminate" when both vanish.
     """
     sigma = complex(sigma)
     if not cmath.isfinite(sigma):
         raise ValueError("sigma must be finite")
-    P, Q = poly_from_params(params)
     tol = poly_zero_tol(params.order, sigma) if zero_tol is None else float(zero_tol)
-    pv = P(sigma)
-    qv = Q(sigma)
+    pv = complex(npoly.polyval(sigma, np.concatenate([params.p, [1.0]])))
+    qv = complex(npoly.polyval(sigma, params.q))
     if abs(pv) > tol:
         return TransferValue("value", qv / pv)
     if abs(qv) > tol:

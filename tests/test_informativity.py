@@ -2,16 +2,14 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ddmr.informativity import (
     InformativityVerdict,
     RankTolerance,
-    build_inclusion_system,
     informative_sweep,
     is_informative,
-    numerical_rank,
     power_vector,
     transfer_value_from_data,
 )
@@ -50,6 +48,9 @@ class TestPowerVector:
         with pytest.raises(ValueError, match="nonnegative"):
             power_vector(1.0, -1)
 
+    # Tiny parts whose fourth power is subnormal, where one rounding step is
+    # 3.6e-8 relative: only a running product meets the recurrence there.
+    @example(re=7.663747445745764e-80, im=7.663747445745764e-80, degree=4)
     @given(re=st.floats(-3, 3), im=st.floats(-3, 3), degree=st.integers(1, 8))
     def test_recurrence(self, re, im, degree):
         sigma = complex(re, im)
@@ -57,56 +58,16 @@ class TestPowerVector:
         assert w[0] == 1.0
         np.testing.assert_allclose(w[1:], sigma * w[:-1], rtol=1e-12, atol=0)
 
-
-class TestInclusionSystem:
-    def test_rl_shape_and_last_column(self, rl_data):
-        system = build_inclusion_system(rl_data, 4, 0.5)
-        assert system.matrix.shape == (10, 17)
-        assert system.rhs.shape == (10,)
-        assert system.xi_size == 16
-        expected_last = np.concatenate([np.zeros(5), -(0.5 ** np.arange(5))])
-        np.testing.assert_allclose(system.matrix[:, -1], expected_last)
-
-    def test_rhs_at_zero_point(self, rl_data):
-        system = build_inclusion_system(rl_data, 4, 0.0)
-        expected = np.zeros(10, dtype=complex)
-        expected[0] = 1.0
-        np.testing.assert_array_equal(system.rhs, expected)
-
-    def test_minimal_horizon_shape(self):
-        data = DataSet(TimeSeries([1.0, 2.0, 3.0]), TimeSeries([4.0, 5.0, 6.0]))
-        system = build_inclusion_system(data, 2, 1.0)
-        assert system.matrix.shape == (6, 2)
-        assert system.xi_size == 1
-
-    def test_insufficient_horizon(self):
-        data = DataSet(TimeSeries([1.0, 2.0]), TimeSeries([1.0, 2.0]))
-        with pytest.raises(ValueError, match="insufficient data"):
-            build_inclusion_system(data, 3, 1.0)
+    def test_batched_columns_match_single_points(self):
+        sigmas = np.array([0.0, 0.5, 1.2 - 0.7j, -2.0 + 1e-3j])
+        batch = power_vector(sigmas, 5)
+        assert batch.shape == (6, 4)
+        for k, sigma in enumerate(sigmas):
+            np.testing.assert_array_equal(batch[:, k], power_vector(sigma, 5))
 
 
 class TestNumericalRank:
-    def test_identity(self):
-        rank, s = numerical_rank(np.eye(3))
-        assert rank == 3
-        np.testing.assert_allclose(s, np.ones(3))
-
-    def test_zero_matrix(self):
-        rank, _ = numerical_rank(np.zeros((4, 4)))
-        assert rank == 0
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            numerical_rank(np.array([[1.0, np.nan]]))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="nonempty"):
-            numerical_rank(np.zeros((0, 3)))
-
-    def test_abs_tol_overrides(self):
-        m = np.diag([1.0, 1e-3])
-        assert numerical_rank(m, RankTolerance(abs_tol=1e-2))[0] == 1
-        assert numerical_rank(m, RankTolerance(abs_tol=1e-4))[0] == 2
+    """Rank of the data stack [H_n(U); H_n(Y)] as a verdict reports it."""
 
     def test_rl_stack_matches_exact_arithmetic_oracle(self, rl_data):
         # The printed record carries exactly four decimals, so its entries are
@@ -114,15 +75,39 @@ class TestNumericalRank:
         # the matrix actually loaded, and a tight SVD cutoff must agree.
         stacked = np.vstack([hankel(rl_data.input, 4), hankel(rl_data.output, 4)])
         oracle = exact_rank(decimal_matrix(stacked))
-        rank, _ = numerical_rank(stacked, RankTolerance(rel_tol=1e-12))
-        assert rank == oracle == 10
+        verdict = is_informative(rl_data, 4, 0.5, RankTolerance(rel_tol=1e-12))
+        assert verdict.rank_base == oracle == 10
 
     def test_rl_stack_default_policy_sees_structure(self, rl_data):
         # At the default policy the same matrix ranks by its dominant
         # structure (six directions), not by its rounding noise.
+        assert is_informative(rl_data, 4, 0.5).rank_base == 6
+
+    def test_abs_tol_overrides(self, rl_data):
         stacked = np.vstack([hankel(rl_data.input, 4), hankel(rl_data.output, 4)])
-        rank, _ = numerical_rank(stacked)
-        assert rank == 6
+        s = np.linalg.svd(stacked, compute_uv=False)
+        for k in (1, 3, 6, 8):
+            cutoff = float(np.sqrt(s[k - 1] * s[k]))
+            verdict = is_informative(rl_data, 4, 0.5, RankTolerance(abs_tol=cutoff))
+            assert verdict.rank_base == k
+            assert verdict.tolerance_used == cutoff
+
+    def test_zero_matrix(self):
+        data = DataSet(TimeSeries(np.zeros(8)), TimeSeries(np.zeros(8)))
+        verdict = is_informative(data, 2, 0.5)
+        assert verdict.rank_base == 0
+        assert not verdict.informative
+
+    def test_non_finite_rejected(self, rl_data):
+        with pytest.raises(ValueError, match="finite"):
+            is_informative(rl_data, 4, complex(np.inf, 0.0))
+        with pytest.raises(ValueError, match="finite"):
+            informative_sweep(rl_data, 4, [0.5, complex(0.0, np.nan)])
+
+    def test_insufficient_horizon(self):
+        data = DataSet(TimeSeries([1.0, 2.0]), TimeSeries([1.0, 2.0]))
+        with pytest.raises(ValueError, match="insufficient data"):
+            is_informative(data, 3, 1.0)
 
 
 class TestRlVerdicts:
@@ -174,6 +159,33 @@ class TestSweep:
         second = informative_sweep(rl_data, RL_ORDER, RL_POINTS)
         assert first == second
 
+    def test_shuffled_grid_permutes_verdicts_exactly(self):
+        rng = np.random.default_rng(17)
+        data, _ = simulated_instance(rng, 3, 60, "white")
+        grid = rng.uniform(-1.5, 1.5, 64) + 1j * rng.uniform(-1.5, 1.5, 64)
+        grid[::8] = 0.5  # repeated points are decided identically wherever they sit
+        perm = rng.permutation(grid.size)
+        verdicts = informative_sweep(data, 3, grid, CLEAN_POLICY)
+        shuffled = informative_sweep(data, 3, grid[perm], CLEAN_POLICY)
+        assert any(v.informative for v in verdicts)
+        assert shuffled == [verdicts[k] for k in perm]
+
+    def test_one_factorisation_per_call(self, rl_data, monkeypatch):
+        calls = []
+        real_svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return real_svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        grid = np.exp(1j * np.linspace(0.0, np.pi, 64))
+        informative_sweep(rl_data, RL_ORDER, grid)
+        assert calls == [(10, 16)]
+        is_informative(rl_data, RL_ORDER, 0.5)
+        transfer_value_from_data(rl_data, RL_ORDER, 0.5)
+        assert len(calls) == 3
+
 
 # Float-clean synthetic records warrant a float-precision rank cutoff; the
 # default policy is calibrated for printed-decimal data and is exercised by
@@ -222,8 +234,11 @@ class TestNonUniquenessWhenConditionBFails:
 
     def test_two_solutions_with_different_value(self):
         data, _ = self._instance()
-        system = build_inclusion_system(data, 1, 0.6)
-        A, b = system.matrix, system.rhs
+        # [[H_1(U), 0], [H_1(Y), -w]] [xi; M] = [w; 0] with w = [1, 0.6]
+        w = np.array([1.0, 0.6])
+        A = np.block([[hankel(data.input, 1), np.zeros((2, 1))],
+                      [hankel(data.output, 1), -w[:, None]]])
+        b = np.concatenate([w, np.zeros(2)])
         x1, *_ = np.linalg.lstsq(A, b, rcond=None)
         _, s, vh = np.linalg.svd(A)
         null = vh[np.sum(s > 1e-10 * s[0]) :].conj()

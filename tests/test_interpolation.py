@@ -82,6 +82,18 @@ class TestConjugateClose:
         ps = PairSet((InterpolationPair(1j, 1.0 + 2.0j), InterpolationPair(-1j, 1.0 - 2.0j)))
         assert conjugate_close(ps) == ps
 
+    def test_accepted_set_is_accepted_by_interpolation(self):
+        # Partners whose values disagree by 1e-7, as values recovered from
+        # printed-decimal data do: closing and interpolating share a default.
+        sigma = complex(2 ** -0.5, 2 ** -0.5)
+        m = -0.0101 - 0.2792j
+        ps = PairSet((InterpolationPair(0.5, -0.2985),
+                      InterpolationPair(sigma, m),
+                      InterpolationPair(sigma.conjugate(), m.conjugate() + 1e-7)))
+        closed = conjugate_close(ps)
+        assert closed == ps
+        assert interpolate_minimal(closed, r_max=4).order == 1
+
 
 class TestInterpolateMinimal:
     def test_reference_pair_set_gives_first_order_model(self):

@@ -6,12 +6,10 @@ from numpy.polynomial import polynomial as npoly
 
 from ddmr.signals import DataSet, TimeSeries, hankel, hankel_trimmed
 from ddmr.systems import (
-    Polynomial,
     SystemParams,
     TransferValue,
     eval_transfer,
     explains_data,
-    poly_from_params,
     simulate,
 )
 
@@ -48,6 +46,8 @@ class TestSystemParams:
             SystemParams(2, [1.0, 2.0], [1.0])
         with pytest.raises(ValueError, match="nonnegative integer"):
             SystemParams(-1, [], [])
+        with pytest.raises(ValueError, match="finite"):
+            SystemParams(1, [np.inf], [1.0, 2.0])
 
     def test_row_roundtrip(self):
         params = SystemParams(2, [0.5, -0.25], [1.0, 2.0, 3.0])
@@ -63,45 +63,6 @@ class TestSystemParams:
         params = SystemParams(0, [], [2.5])
         assert params.q[0] == 2.5
         assert params.p.size == 0
-
-
-class TestPolyFromParams:
-    def test_reference_model(self):
-        P, Q = poly_from_params(REF_PARAMS)
-        np.testing.assert_allclose(P.coeffs, [-1.0790, 1.0])
-        np.testing.assert_allclose(Q.coeffs, [0.1045, 0.1367])
-
-    def test_zero_params(self):
-        P, Q = poly_from_params(SystemParams(2, [0.0, 0.0], [0.0, 0.0, 0.0]))
-        np.testing.assert_array_equal(P.coeffs, [0.0, 0.0, 1.0])
-        assert P.degree == 2
-        assert Q.degree == -1
-
-    def test_direct_construction(self):
-        P, Q = poly_from_params(SystemParams(1, [0.5], [1.0, 0.0]))
-        np.testing.assert_array_equal(P.coeffs, [0.5, 1.0])
-        np.testing.assert_array_equal(Q.coeffs, [1.0, 0.0])
-        assert Q.degree == 0
-
-    @given(params=stable_params())
-    def test_degree_bookkeeping(self, params):
-        P, Q = poly_from_params(params)
-        assert P.degree == params.order
-        assert Q.degree <= params.order
-
-
-class TestPolynomial:
-    def test_evaluation(self):
-        poly = Polynomial([1.0, 2.0, 3.0])
-        assert poly(2.0) == 1.0 + 4.0 + 12.0
-
-    def test_complex_coeffs(self):
-        poly = Polynomial([1.0 + 1.0j, 2.0])
-        assert poly(1.0) == 3.0 + 1.0j
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="finite"):
-            Polynomial([np.inf])
 
 
 class TestEvalTransfer:
