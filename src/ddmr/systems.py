@@ -21,6 +21,7 @@ __all__ = [
     "TransferValue",
     "TransferKind",
     "poly_zero_tol",
+    "transfer_kinds",
     "eval_transfer",
     "simulate",
     "explains_data",
@@ -122,6 +123,17 @@ def poly_zero_tol(order: int, sigma: complex) -> float:
     return 1e-10 * (1.0 + abs(sigma) ** order)
 
 
+def transfer_kinds(pv, qv, zero_tol) -> np.ndarray:
+    """Kind of Q/P at each point from the values ``pv`` of P and ``qv`` of Q.
+
+    "value" where ``|pv|`` exceeds ``zero_tol``, else "pole" where ``|qv|``
+    does, else "indeterminate". The arguments broadcast; a scalar call
+    gives a 0-d array.
+    """
+    return np.where(np.abs(pv) > zero_tol, "value",
+                    np.where(np.abs(qv) > zero_tol, "pole", "indeterminate"))
+
+
 def eval_transfer(params: SystemParams, sigma: complex, zero_tol: float | None = None) -> TransferValue:
     """Transfer-function value of the model at ``sigma``.
 
@@ -136,11 +148,8 @@ def eval_transfer(params: SystemParams, sigma: complex, zero_tol: float | None =
     tol = poly_zero_tol(params.order, sigma) if zero_tol is None else float(zero_tol)
     pv = complex(npoly.polyval(sigma, np.concatenate([params.p, [1.0]])))
     qv = complex(npoly.polyval(sigma, params.q))
-    if abs(pv) > tol:
-        return TransferValue("value", qv / pv)
-    if abs(qv) > tol:
-        return TransferValue("pole")
-    return TransferValue("indeterminate")
+    kind = str(transfer_kinds(pv, qv, tol))
+    return TransferValue(kind, qv / pv if kind == "value" else None)
 
 
 def simulate(params: SystemParams, input: TimeSeries, initial_output=()) -> TimeSeries:

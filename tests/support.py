@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from ddmr.interpolation import _gcd_degree
 from ddmr.signals import DataSet, TimeSeries, hankel, hankel_trimmed
 from ddmr.systems import SystemParams, eval_transfer, simulate
 
@@ -158,6 +159,122 @@ def exists_interpolant(pairs, r: int, rng, tries: int = 100, fit_tol: float = 1e
         if np.all(np.abs(fitted - values) <= fit_tol * (1.0 + np.abs(values))):
             return True
     return False
+
+
+# --- reference interpolation layer (per-pair loops, per-order full SVD) ------
+#
+# A line-by-line copy of the interpolation layer before it moved to one QR
+# and sort-based matching. The library must give the same answers: the same
+# errors and messages, the same pair order, the same minimal order, and the
+# same coefficients up to rounding.
+
+PARTNER_ATOL = 1e-12
+CONJUGATE_TOL = 1e-6
+
+
+def _reference_find_partner(pairs, sigma: complex):
+    for cand in pairs:
+        if abs(cand.sigma - sigma) <= PARTNER_ATOL * (1.0 + abs(sigma)):
+            return cand
+    return None
+
+
+def reference_check_distinct(pairs) -> None:
+    """O(K^2) duplicate-point check of a sequence of pairs."""
+    for i, a in enumerate(pairs):
+        for b in pairs[i + 1 :]:
+            if abs(a.sigma - b.sigma) <= PARTNER_ATOL * (1.0 + abs(a.sigma)):
+                raise ValueError(f"duplicate interpolation point sigma={a.sigma}")
+
+
+def reference_conjugate_close(pairs, tol: float = CONJUGATE_TOL) -> tuple:
+    """O(K^2) conjugate closure; returns the closed tuple of pairs."""
+    out = list(pairs)
+    for pair in pairs:
+        partner = _reference_find_partner(out, pair.sigma.conjugate())
+        if partner is None:
+            out.append(pair.conjugate())
+        elif abs(partner.m - pair.m.conjugate()) > tol:
+            raise ValueError(
+                "pair set inconsistent with a real system: value at "
+                f"sigma={partner.sigma} is {partner.m}, expected "
+                f"{pair.m.conjugate()} (conjugate of the value at {pair.sigma})"
+            )
+    reference_check_distinct(out)
+    return tuple(out)
+
+
+def reference_require_closed(pairs) -> None:
+    """O(K^2) check that every pair's conjugate partner is present."""
+    for pair in pairs:
+        partner = _reference_find_partner(pairs, pair.sigma.conjugate())
+        if partner is None or abs(partner.m - pair.m.conjugate()) > CONJUGATE_TOL:
+            raise ValueError(
+                "pair set is not conjugate-closed; run conjugate_close first "
+                f"(offending point sigma={pair.sigma})"
+            )
+
+
+def _reference_powers(sigma: complex, r: int) -> np.ndarray:
+    return np.cumprod(np.concatenate([[1.0], np.full(r, sigma)]).astype(complex))
+
+
+def _reference_candidate(v, r: int, pairs, eps: float):
+    a = v[: r + 1]
+    b = v[r + 1 :]
+    if abs(a[-1]) <= eps:
+        return None
+    for pair in pairs:
+        scale = float(np.linalg.norm(_reference_powers(pair.sigma, r)))
+        if abs(npoly.polyval(pair.sigma, a)) <= eps * scale:
+            return None
+    if r >= 1 and _gcd_degree(a, b, eps) > 0:
+        return None
+    return SystemParams(r, a[:-1] / a[-1], b / a[-1])
+
+
+def reference_interpolate_minimal(pairs, r_max: int, policy) -> SystemParams:
+    """Per-order search: a full SVD of each order's constraint matrix, with
+    columns ``[a_0..a_r, b_0..b_r]`` and rows (real, imag) per pair."""
+    eps = policy.zero_tol()
+    for r in range(r_max + 1):
+        rows = []
+        for pair in pairs:
+            powers = _reference_powers(pair.sigma, r)
+            crow = np.concatenate([-pair.m * powers, powers])
+            rows.append(crow.real)
+            rows.append(crow.imag)
+        A = np.asarray(rows)
+        _, s, vh = np.linalg.svd(A)
+        tau = policy.threshold(s, A.shape)
+        rank = int(np.count_nonzero(s > tau))
+        if rank == A.shape[1]:
+            continue
+        for v in vh[rank:][::-1]:
+            params = _reference_candidate(v, r, pairs, eps)
+            if params is not None:
+                return params
+    raise ValueError(f"order budget exhausted: no admissible interpolant with order <= {r_max}")
+
+
+# --- Loewner-rank oracle for the minimal order --------------------------------
+
+def loewner_rank(pairs, rel_cut: float = 1e-8) -> int:
+    """Numerical rank of the Loewner matrix of a pair set.
+
+    The pairs are split alternately into left data (mu_i, v_i) and right
+    data (lam_j, w_j), and ``L[i, j] = (v_i - w_j) / (mu_i - lam_j)``. For
+    enough pairs taken from a rational function, the rank is its McMillan
+    degree (Mayo & Antoulas, Linear Algebra Appl. 425, 2007), found here
+    with no null-space search.
+    """
+    sigmas = np.array([p.sigma for p in pairs])
+    values = np.array([p.m for p in pairs])
+    mu, v = sigmas[0::2], values[0::2]
+    lam, w = sigmas[1::2], values[1::2]
+    L = (v[:, None] - w[None, :]) / (mu[:, None] - lam[None, :])
+    s = np.linalg.svd(L, compute_uv=False)
+    return int(np.count_nonzero(s > rel_cut * s[0])) if s.size and s[0] > 0 else 0
 
 
 # --- instance generators -----------------------------------------------------

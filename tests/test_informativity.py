@@ -210,6 +210,26 @@ class TestSolveGuards:
             assert abs(m - tv.m) <= 1e-6 * (1.0 + abs(tv.m))
             assert residual <= 1e-8
 
+    def test_residual_within_cutoff_at_every_informative_point(self, rl_data):
+        # Condition a is ||d|| <= cutoff and the solve residual is ||d||, so
+        # no informative value can carry a residual above the cutoff.
+        rng = np.random.default_rng(19)
+        grid = rng.uniform(0.0, 1.5, 64) * np.exp(1j * rng.uniform(-np.pi, np.pi, 64))
+        cases = [(rl_data, RL_ORDER, None)]
+        for kind in ("white", "two_sines", "decaying"):
+            data, _ = simulated_instance(rng, 3, 40, kind)
+            cases += [(data, 3, None), (data, 3, CLEAN_POLICY)]
+        informative = 0
+        for data, order, policy in cases:
+            for verdict in informative_sweep(data, order, grid, policy):
+                if verdict.informative:
+                    informative += 1
+                    assert verdict.solve_residual <= verdict.tolerance_used
+                    m, residual = transfer_value_from_data(data, order, verdict.sigma, policy)
+                    assert residual <= verdict.tolerance_used
+                    assert abs(m - verdict.m) <= 1e-9 * (1.0 + abs(m))
+        assert informative > 64
+
 
 class TestNonUniquenessWhenConditionBFails:
     def _instance(self):

@@ -1,9 +1,17 @@
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
+import ddmr
+from ddmr.informativity import RankTolerance, informative_sweep
 from ddmr.interpolation import (
     InterpolationPair,
     PairSet,
@@ -13,17 +21,46 @@ from ddmr.interpolation import (
     verify_interpolation,
 )
 from ddmr.interpolation import _gcd_degree
-from ddmr.systems import SystemParams, eval_transfer
+from ddmr.signals import DataSet
+from ddmr.systems import SystemParams, eval_transfer, simulate
 
-from support import RL_REFERENCE_MODEL, RL_REFERENCE_VALUES, coprime_params, exists_interpolant
+from support import (
+    PARTNER_ATOL,
+    RL_REFERENCE_MODEL,
+    RL_REFERENCE_VALUES,
+    coprime_params,
+    exists_interpolant,
+    input_signal,
+    loewner_rank,
+    reference_check_distinct,
+    reference_conjugate_close,
+    reference_interpolate_minimal,
+    reference_require_closed,
+)
 
 REFERENCE_PAIRS = PairSet(tuple(InterpolationPair(s, m) for s, m in RL_REFERENCE_VALUES.items()))
 REF_MODEL_PARAMS = SystemParams(1, [RL_REFERENCE_MODEL["p0"]],
                                 [RL_REFERENCE_MODEL["q0"], RL_REFERENCE_MODEL["q1"]])
 
 
+CLEAN_POLICY = RankTolerance(rel_tol=1e-10)
+
+
 def _pairs_from(params, sigmas):
     return PairSet(tuple(InterpolationPair(s, eval_transfer(params, s).m) for s in sigmas))
+
+
+def _upper_circle_points(rng, count, radius=1.2):
+    """Points spread over the upper half of a circle, with a little jitter."""
+    angles = (np.arange(count) + 0.5) * np.pi / count + rng.uniform(-0.1, 0.1, count)
+    return radius * np.exp(1j * angles)
+
+
+def _outcome(call):
+    try:
+        return "ok", call()
+    except ValueError as exc:
+        return "error", str(exc)
 
 
 def _distinct_real_points(rng, count, params, lo=-2.0, hi=2.0, min_gap=5e-2, min_denom=0.1):
@@ -95,6 +132,91 @@ class TestConjugateClose:
         assert interpolate_minimal(closed, r_max=4).order == 1
 
 
+# Near-duplicate points are planted at these multiples of the matching
+# tolerance, and partner values at these offsets from the conjugate value,
+# so that both sides of each cutoff are exercised.
+EDGE_FACTORS = st.sampled_from([0.0, 0.5, 0.999999, 1.0, 1.000001, 2.0, 1e3])
+VALUE_OFFSETS = st.sampled_from([0.0, 5e-7, 1e-6, 1.000001e-6, 2e-6, 1j * 1e-6, 0.3])
+COORDS = st.floats(-2.0, 2.0).map(lambda x: round(x, 1))
+POINTS = st.builds(complex, COORDS, st.one_of(st.just(0.0), COORDS))
+VALUES = st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+
+
+@st.composite
+def planted_pairs(draw):
+    """Pairs on a coarse grid (many shared real parts), plus points planted
+    next to earlier ones: shifted along the real or imaginary axis, or next
+    to their conjugate, with values at or near the conjugate value."""
+    pairs = [InterpolationPair(draw(POINTS), draw(VALUES)) for _ in range(draw(st.integers(0, 6)))]
+    for _ in range(draw(st.integers(0, 6)) if pairs else 0):
+        src = pairs[draw(st.integers(0, len(pairs) - 1))]
+        kind = draw(st.sampled_from(["real", "imag", "conj", "conj", "conj_real"]))
+        step = draw(EDGE_FACTORS) * PARTNER_ATOL * (1.0 + abs(src.sigma))
+        sigma = src.sigma.conjugate() if kind.startswith("conj") else src.sigma
+        sigma += step if kind.endswith("real") else 1j * step
+        m = src.m.conjugate() + draw(VALUE_OFFSETS) if draw(st.booleans()) else draw(VALUES)
+        pairs.insert(draw(st.integers(0, len(pairs))), InterpolationPair(sigma, m))
+    return pairs
+
+
+class TestMatchingAgainstBruteForce:
+    """Sort-based matching against the pairwise O(K^2) reference: the same
+    sets are accepted, with the same errors, messages and pair order."""
+
+    @given(pairs=planted_pairs())
+    def test_pair_set(self, pairs):
+        want = _outcome(lambda: reference_check_distinct(pairs) or tuple(pairs))
+        assert _outcome(lambda: PairSet(tuple(pairs)).pairs) == want
+
+    @given(pairs=planted_pairs(), tol=st.sampled_from([1e-6, 1e-9, 1e-3]))
+    def test_conjugate_close(self, pairs, tol):
+        try:
+            reference_check_distinct(pairs)
+        except ValueError:
+            return
+        want = _outcome(lambda: reference_conjugate_close(pairs, tol))
+        assert _outcome(lambda: conjugate_close(PairSet(tuple(pairs)), tol).pairs) == want
+
+    @given(pairs=planted_pairs())
+    def test_closedness_check_of_interpolation(self, pairs):
+        # r_max = -1 is rejected right after the closedness check, so this
+        # isolates the check from the search.
+        try:
+            reference_check_distinct(pairs)
+        except ValueError:
+            return
+        if not pairs:
+            return
+        ps = PairSet(tuple(pairs))
+        want = _outcome(lambda: reference_require_closed(pairs))
+        got = _outcome(lambda: interpolate_minimal(ps, r_max=-1))
+        if want[0] == "ok":
+            assert got == ("error", "r_max must be nonnegative")
+        else:
+            assert got == want
+
+    def test_partner_found_among_appended_conjugates(self):
+        # The duplicate test takes its tolerance from the earlier point and
+        # the partner test from the queried one, so b sits just outside a's
+        # duplicate radius yet inside the partner radius of conj(b). Neither
+        # has a partner among the inputs; conj(a) is appended first and
+        # then serves as b's partner, so conj(b) is not appended.
+        a = 0.6e-12j
+        b = (0.6e-12 + 1e-12 + 1e-24) * 1j
+        pairs = [InterpolationPair(a, 1.0 + 2.0j), InterpolationPair(b, 1.0 + 2.0j)]
+        want = reference_conjugate_close(pairs)
+        assert len(want) == 3
+        assert conjugate_close(PairSet(tuple(pairs))).pairs == want
+
+    def test_vertical_line(self):
+        # Every point shares one real part; matching must not depend on it.
+        sigmas = 0.3 + 1j * np.linspace(-2.0, 2.0, 401)
+        pairs = tuple(InterpolationPair(s, complex(k)) for k, s in enumerate(sigmas))
+        assert PairSet(pairs).pairs == pairs
+        with pytest.raises(ValueError, match="duplicate interpolation point"):
+            PairSet(pairs + (InterpolationPair(sigmas[7] + 1e-13j, 0.0),))
+
+
 class TestInterpolateMinimal:
     def test_reference_pair_set_gives_first_order_model(self):
         model = interpolate_minimal(REFERENCE_PAIRS, r_max=4)
@@ -132,6 +254,14 @@ class TestInterpolateMinimal:
         pairs = _pairs_from(params, _distinct_real_points(rng, 5, params))
         with pytest.raises(ValueError, match="order budget exhausted"):
             interpolate_minimal(pairs, r_max=1)
+
+    def test_order_budget_past_float_range(self):
+        # 2**r overflows for r > 1023: orders the search never reaches must
+        # not spoil the factorisation of the orders it does.
+        pairs = PairSet((InterpolationPair(2.0, 1.5), InterpolationPair(-2.0, 0.5)))
+        model = interpolate_minimal(pairs, r_max=1100)
+        assert model.order == 1
+        assert verify_interpolation(model, pairs, tol=1e-12).ok
 
     def test_empty_pair_set_rejected(self):
         with pytest.raises(ValueError, match="empty pair set"):
@@ -171,6 +301,145 @@ class TestInterpolateMinimal:
             assert model.order == order
             for lower in range(order):
                 assert not exists_interpolant(pairs, lower, rng)
+
+
+class TestAgainstReference:
+    """The one-QR search against the per-order full-SVD search it replaced."""
+
+    @pytest.mark.parametrize("order", range(1, 7))
+    def test_same_order_and_coefficients(self, order):
+        rng = np.random.default_rng(600 + order)
+        for _ in range(5):
+            params = coprime_params(rng, order)
+            pairs = conjugate_close(_pairs_from(params, _upper_circle_points(rng, order + 1)))
+            model = interpolate_minimal(pairs, r_max=order + 2, tol_policy=CLEAN_POLICY)
+            ref = reference_interpolate_minimal(pairs.pairs, order + 2, CLEAN_POLICY)
+            assert model.order == ref.order == order
+            got = np.concatenate([model.params.p, model.params.q])
+            want = np.concatenate([ref.p, ref.q])
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("points, values, rel_tol, order", [
+        ((-0.3, 0.0), (1.0, -1.0), 5e-6, 1),
+        ((-0.3, 0.0), (1.0, -1.0), 1e-10, 1),
+        ((0.0, -0.1), (1.0, -1.0), 1e-10, 1),
+        ((-0.1, 0.0), (0.0, 2.0), 1e-10, 1),
+        ((-1.4, -1.5), (1e4, 1.0), 5e-6, 3),
+    ])
+    def test_short_pair_sets(self, points, values, rel_tol, order):
+        # Each real point gives one nonzero row, so with K <= 2r the order-r
+        # null space has dimension two or more. Two real points with distinct values always admit an order-1
+        # interpolant, which the reference misses when none of its basis
+        # vectors is admissible. In the last set |m| * rel_tol is large, so
+        # the zero tests reject every order-1 and order-2 candidate.
+        pairs = PairSet(tuple(InterpolationPair(s, m) for s, m in zip(points, values)))
+        policy = RankTolerance(rel_tol=rel_tol)
+        model = interpolate_minimal(pairs, r_max=4, tol_policy=policy)
+        assert len(pairs) <= 2 * order
+        assert model.order == order <= reference_interpolate_minimal(pairs.pairs, 4, policy).order
+        assert verify_interpolation(model, pairs, tol=1e-9 * max(abs(m) for m in values)).ok
+
+    def test_axis_aligned_null_vectors(self):
+        # The order-1 constraint matrix has an all-zero a_1 column, so e_{a_1}
+        # (with a(0) = 0) is a null vector, and the other basis vector has
+        # a_1 = 0. Only a combination of the two is admissible.
+        pairs = PairSet((InterpolationPair(-0.1, 0.0), InterpolationPair(0.0, 2.0)))
+        model = interpolate_minimal(pairs, r_max=4, tol_policy=CLEAN_POLICY)
+        assert model.order == 1
+        assert verify_interpolation(model, pairs, tol=1e-12).ok
+
+    def test_small_degenerate_sets_never_worse_than_reference(self):
+        # One to three real points on a coarse grid, with repeated and zero
+        # values: null spaces of two or more dimensions at most orders.
+        # Wherever the reference returns a model, the search returns one of
+        # no higher order, and every returned model interpolates.
+        grid, values = (-0.1, 0.0, 0.1, 0.2), (0.0, 1.0, -1.0, 2.0, 1e3)
+        lower = 0
+        for count in (1, 2, 3):
+            for points in itertools.combinations(grid, count):
+                for ms in itertools.product(values, repeat=count):
+                    pairs = PairSet(tuple(InterpolationPair(s, m) for s, m in zip(points, ms)))
+                    got = _outcome(lambda: interpolate_minimal(pairs, 4, CLEAN_POLICY))
+                    want = _outcome(lambda: reference_interpolate_minimal(pairs.pairs, 4, CLEAN_POLICY))
+                    if want[0] == "ok":
+                        assert got[0] == "ok" and got[1].order <= want[1].order, (points, ms)
+                        lower += got[1].order < want[1].order
+                    if got[0] == "ok":
+                        tol = 1e-9 * (1.0 + max(abs(m) for m in ms))
+                        assert verify_interpolation(got[1], pairs, tol).ok, (points, ms)
+        assert lower > 0
+
+    def test_short_pair_set_exhausts_like_reference(self):
+        # |m| far above 1/zero_tol: every candidate at every order has a
+        # vanishing denominator, including the short orders r >= 1.
+        pairs = PairSet((InterpolationPair(0.5, 1e7),))
+        want = _outcome(lambda: reference_interpolate_minimal(pairs.pairs, 4, RankTolerance()))
+        assert want[0] == "error"
+        assert _outcome(lambda: interpolate_minimal(pairs, r_max=4)) == want
+
+
+class TestOneFactorisation:
+    def test_one_qr_and_small_svds_per_fit(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        params = coprime_params(rng, 4)
+        sigmas = rng.uniform(0.3, 1.5, 256) * np.exp(1j * rng.uniform(0.05, np.pi - 0.05, 256))
+        pairs = conjugate_close(_pairs_from(params, sigmas))
+        assert len(pairs) == 512
+        qr_calls, svd_shapes = [], []
+        real_qr, real_svd = np.linalg.qr, np.linalg.svd
+
+        def counting_qr(*args, **kwargs):
+            qr_calls.append(np.shape(args[0]))
+            return real_qr(*args, **kwargs)
+
+        def counting_svd(*args, **kwargs):
+            svd_shapes.append(np.shape(args[0]))
+            return real_svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        model = interpolate_minimal(pairs, r_max=8, tol_policy=CLEAN_POLICY)
+        assert model.order == 4
+        assert qr_calls == [(1024, 18)]
+        assert len(svd_shapes) == model.order + 1
+        assert max(rows for rows, _ in svd_shapes) <= 2 * 8 + 2
+
+
+def test_fit_loads_no_further_modules():
+    # `ddmr reduce` runs as its own process, so a module that the fit loads
+    # on first use (numpy.ma, behind np.unique, costs ~15 ms) is paid by
+    # every call.
+    code = (
+        "import sys, ddmr\n"
+        "before = set(sys.modules)\n"
+        "pairs = ddmr.conjugate_close(ddmr.PairSet((ddmr.InterpolationPair(0.5, -0.3),"
+        " ddmr.InterpolationPair(0.7 + 0.7j, -0.01 - 0.28j))))\n"
+        "model = ddmr.interpolate_minimal(pairs, r_max=4)\n"
+        "ddmr.verify_interpolation(model, pairs, 1e-6)\n"
+        "print(sorted(set(sys.modules) - before))\n"
+    )
+    src = str(Path(ddmr.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+class TestLoewnerOracle:
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_minimal_order_equals_loewner_rank(self, order):
+        # Values recovered from clean records of random stable real systems;
+        # the Loewner rank gives the minimal order with no null-space search.
+        rng = np.random.default_rng(40 + order)
+        for _ in range(4):
+            params = coprime_params(rng, order)
+            u = input_signal(rng, 8 * order + 20, "white")
+            data = DataSet(u, simulate(params, u, rng.standard_normal(order)))
+            verdicts = informative_sweep(data, order, _upper_circle_points(rng, order + 2, 1.1),
+                                         CLEAN_POLICY)
+            assert all(v.informative for v in verdicts)
+            pairs = conjugate_close(PairSet(tuple(InterpolationPair(v.sigma, v.m) for v in verdicts)))
+            model = interpolate_minimal(pairs, r_max=order + 2, tol_policy=CLEAN_POLICY)
+            assert model.order == loewner_rank(pairs.pairs) == order
 
 
 class TestGcdDegree:
@@ -213,6 +482,24 @@ class TestVerifyInterpolation:
         assert not check.ok
         assert np.isinf(check.errors[0])
         assert check.kinds[0] == "pole"
+
+    def test_matches_per_pair_evaluation(self):
+        # Denominator (z - 0.5)(z + 0.8), numerator vanishing at 0.5: an
+        # indeterminate pair at 0.5, a pole at -0.8, values elsewhere.
+        params = SystemParams(2, npoly.polyfromroots([0.5, -0.8])[:-1],
+                              npoly.polyfromroots([0.5, 0.1]) * 0.7)
+        rng = np.random.default_rng(3)
+        sigmas = [0.5, -0.8, 0.5 + 1e-9, -0.8 + 1e-11, *rng.uniform(-1.5, 1.5, 6),
+                  *(rng.uniform(0.2, 1.5, 6) * np.exp(1j * rng.uniform(-3.0, 3.0, 6)))]
+        pairs = PairSet(tuple(InterpolationPair(s, complex(*rng.standard_normal(2))) for s in sigmas))
+        check = verify_interpolation(ReducedModel(params, pairs, 0.0), pairs, tol=2.0)
+        per_pair = [eval_transfer(params, p.sigma) for p in pairs]
+        assert check.kinds == tuple(tv.kind for tv in per_pair)
+        assert {"value", "pole", "indeterminate"} <= set(check.kinds)
+        want = np.array([abs(tv.m - p.m) if tv.kind == "value" else np.inf
+                         for tv, p in zip(per_pair, pairs)])
+        np.testing.assert_allclose(check.errors, want, rtol=1e-12)
+        assert check.ok == bool(np.all(want <= 2.0))
 
     def test_perturbed_model_fails(self):
         params = SystemParams(1, [RL_REFERENCE_MODEL["p0"] + 0.1],

@@ -11,6 +11,7 @@ from ddmr.systems import (
     eval_transfer,
     explains_data,
     simulate,
+    transfer_kinds,
 )
 
 from support import RL_REFERENCE_MODEL
@@ -90,6 +91,14 @@ class TestEvalTransfer:
         tv = eval_transfer(SystemParams(0, [], [2.5]), 123.0 + 4.0j)
         assert tv.kind == "value"
         assert tv.m == 2.5
+
+    def test_transfer_kinds_elementwise(self):
+        pv = np.array([1.0, 1e-11j, 0.0, 2e-10])
+        qv = np.array([0.0, 1.0, 1e-11, 0.0])
+        kinds = transfer_kinds(pv, qv, 1e-10)
+        assert kinds.tolist() == ["value", "pole", "indeterminate", "value"]
+        for j in range(pv.size):
+            assert str(transfer_kinds(pv[j], qv[j], 1e-10)) == kinds[j]
 
     def test_transfer_value_invariants(self):
         with pytest.raises(ValueError, match="requires m"):
