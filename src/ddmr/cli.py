@@ -39,27 +39,14 @@ def parse_complex(text: str) -> complex:
     """Parse a shell-safe complex literal: ``a``, ``bi``, ``a+bi``, or ``a-bi``.
 
     No spaces are allowed inside the literal; exponents like ``1e-3`` work in
-    both parts.
+    both parts. An ``i`` literal is read by Python's ``complex`` with ``i``
+    turned into ``j``; its own ``j`` suffix and parentheses are refused.
     """
     s = text.strip()
-    if not s or any(ch.isspace() for ch in s):
+    if not s or any(ch.isspace() or ch in "jJ()" for ch in s):
         raise ValueError(f"invalid complex literal {text!r}")
-    if s.endswith("i"):
-        body = s[:-1]
-        re_part = ""
-        im_part = body
-        for k in range(len(body) - 1, 0, -1):
-            if body[k] in "+-" and body[k - 1] not in "eE":
-                re_part, im_part = body[:k], body[k:]
-                break
-        if im_part in ("", "+", "-"):
-            im_part += "1"
-        try:
-            return complex(float(re_part) if re_part else 0.0, float(im_part))
-        except ValueError:
-            raise ValueError(f"invalid complex literal {text!r}") from None
     try:
-        return complex(float(s), 0.0)
+        return complex(s[:-1] + "j") if s.endswith("i") else complex(float(s), 0.0)
     except ValueError:
         raise ValueError(f"invalid complex literal {text!r}") from None
 
@@ -77,6 +64,10 @@ def _load_data(spec: str) -> DataSet:
     if spec.startswith("@"):
         return builtin_dataset(spec[1:])
     return load_csv(spec)
+
+
+def _load_model(path: str) -> SystemParams:
+    return SystemParams.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def _parse_sigmas(sigmas: tuple[str, ...]) -> list[complex]:
@@ -120,21 +111,31 @@ _data_option = click.option(
     "--data", "data_spec", required=True,
     help="CSV file with header t,u,y, or @NAME for a bundled dataset (e.g. @paper-rl).",
 )
-_order_option = click.option("--order", type=int, required=True, help="Model order n of the data identity.")
-_sigma_option = click.option(
-    "--sigma", "sigmas", multiple=True,
-    help="Interpolation point as a+bi (repeatable, no spaces inside the literal).",
-)
-_rel_tol_option = click.option(
-    "--rank-rel-tol", type=float, default=DEFAULT_REL_TOL, show_default=True,
-    help="Relative singular-value cutoff for rank decisions.",
-)
-_abs_tol_option = click.option(
-    "--rank-abs-tol", type=float, default=None,
-    help="Absolute singular-value cutoff; overrides the relative policy.",
+_sweep_option_stack = (
+    _data_option,
+    click.option("--order", type=int, required=True, help="Model order n of the data identity."),
+    click.option(
+        "--sigma", "sigmas", multiple=True,
+        help="Interpolation point as a+bi (repeatable, no spaces inside the literal).",
+    ),
+    click.option(
+        "--rank-rel-tol", type=float, default=DEFAULT_REL_TOL, show_default=True,
+        help="Relative singular-value cutoff for rank decisions.",
+    ),
+    click.option(
+        "--rank-abs-tol", type=float, default=None,
+        help="Absolute singular-value cutoff; overrides the relative policy.",
+    ),
 )
 _out_option = click.option("--out", default=None, help="Write the JSON report/artifact to this path.")
 _json_option = click.option("--json", "as_json", is_flag=True, help="Print JSON to stdout instead of a table.")
+
+
+def _sweep_options(command):
+    """The record, order, points and rank policy that every sweep command takes."""
+    for option in reversed(_sweep_option_stack):
+        command = option(command)
+    return command
 
 
 @click.group()
@@ -143,49 +144,34 @@ def cli() -> None:
 
 
 def _run_sweep(data_spec, order, sigmas, rel_tol, abs_tol):
+    """The rank policy from the flags and the sweep's verdicts under it."""
     data = _load_data(data_spec)
     order = _validated_order(order)
     points = _parse_sigmas(sigmas)
     policy = RankTolerance(rel_tol=rel_tol, abs_tol=abs_tol)
-    return informative_sweep(data, order, points, policy)
+    return policy, informative_sweep(data, order, points, policy)
+
+
+def _sweep_command(name: str, show_value: bool, summary: str) -> None:
+    """Register a command that reports the sweep's verdicts, and with
+    ``show_value`` their recovered values; it exits 2 on any negative."""
+
+    @cli.command(name, help=summary)
+    @_sweep_options
+    @_out_option
+    @_json_option
+    def command(data_spec, order, sigmas, rank_rel_tol, rank_abs_tol, out, as_json) -> None:
+        _, verdicts = _run_sweep(data_spec, order, sigmas, rank_rel_tol, rank_abs_tol)
+        _emit([v.to_json_dict() for v in verdicts], as_json, out, _sweep_table(verdicts, show_value))
+        sys.exit(0 if all(v.informative for v in verdicts) else 2)
+
+
+_sweep_command("check", False, "Decide informativity for interpolation at each requested point.")
+_sweep_command("value", True, "Recover transfer-function values at each informative point.")
 
 
 @cli.command()
-@_data_option
-@_order_option
-@_sigma_option
-@_rel_tol_option
-@_abs_tol_option
-@_out_option
-@_json_option
-def check(data_spec, order, sigmas, rank_rel_tol, rank_abs_tol, out, as_json) -> None:
-    """Decide informativity for interpolation at each requested point."""
-    verdicts = _run_sweep(data_spec, order, sigmas, rank_rel_tol, rank_abs_tol)
-    _emit([v.to_json_dict() for v in verdicts], as_json, out, _sweep_table(verdicts, show_value=False))
-    sys.exit(0 if all(v.informative for v in verdicts) else 2)
-
-
-@cli.command()
-@_data_option
-@_order_option
-@_sigma_option
-@_rel_tol_option
-@_abs_tol_option
-@_out_option
-@_json_option
-def value(data_spec, order, sigmas, rank_rel_tol, rank_abs_tol, out, as_json) -> None:
-    """Recover transfer-function values at each informative point."""
-    verdicts = _run_sweep(data_spec, order, sigmas, rank_rel_tol, rank_abs_tol)
-    _emit([v.to_json_dict() for v in verdicts], as_json, out, _sweep_table(verdicts, show_value=True))
-    sys.exit(0 if all(v.informative for v in verdicts) else 2)
-
-
-@cli.command()
-@_data_option
-@_order_option
-@_sigma_option
-@_rel_tol_option
-@_abs_tol_option
+@_sweep_options
 @click.option("--r-max", type=int, default=4, show_default=True, help="Largest interpolant order to try.")
 @_out_option
 @_json_option
@@ -194,16 +180,14 @@ def reduce(data_spec, order, sigmas, rank_rel_tol, rank_abs_tol, r_max, out, as_
 
     All requested points must be informative; --out receives the model JSON.
     """
-    verdicts = _run_sweep(data_spec, order, sigmas, rank_rel_tol, rank_abs_tol)
+    policy, verdicts = _run_sweep(data_spec, order, sigmas, rank_rel_tol, rank_abs_tol)
     bad = [v for v in verdicts if not v.informative]
     if bad:
         for v in bad:
             click.echo(f"not informative at sigma={format_complex(v.sigma)}", err=True)
         sys.exit(2)
     pairs = PairSet(tuple(InterpolationPair(v.sigma, v.m) for v in verdicts))
-    closed = conjugate_close(pairs)
-    policy = RankTolerance(rel_tol=rank_rel_tol, abs_tol=rank_abs_tol)
-    model = interpolate_minimal(closed, r_max=r_max, tol_policy=policy)
+    model = interpolate_minimal(conjugate_close(pairs), r_max=r_max, tol_policy=policy)
     payload = model.to_json_dict()
     human = [
         f"order r = {model.order}",
@@ -224,7 +208,7 @@ def reduce(data_spec, order, sigmas, rank_rel_tol, rank_abs_tol, r_max, out, as_
 @_out_option
 def simulate_cmd(model_path, data_spec, init_values, out) -> None:
     """Simulate a model over the input column of a record; emits t,u,y CSV."""
-    params = SystemParams.from_json_dict(json.loads(Path(model_path).read_text(encoding="utf-8")))
+    params = _load_model(model_path)
     data = _load_data(data_spec)
     init = list(init_values) if init_values else [0.0] * params.order
     y = simulate_model(params, data.input, init)
@@ -256,7 +240,7 @@ def _pairs_from_file(path: str) -> list[InterpolationPair]:
 @_json_option
 def verify(model_path, pair_specs, pairs_from, tol, out, as_json) -> None:
     """Check a model's transfer values against point/value pairs."""
-    params = SystemParams.from_json_dict(json.loads(Path(model_path).read_text(encoding="utf-8")))
+    params = _load_model(model_path)
     pairs_list: list[InterpolationPair] = []
     for spec in pair_specs:
         left, sep, right = spec.partition("=")

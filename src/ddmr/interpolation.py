@@ -203,41 +203,6 @@ def conjugate_close(pairs: PairSet, tol: float = _CONJUGATE_TOL) -> PairSet:
     return PairSet(tuple(p for p in slots if p is not None))
 
 
-def _trimmed_degree(coeffs: np.ndarray, eps: float) -> int:
-    mags = np.abs(coeffs)
-    scale = mags.max()
-    if scale <= eps:
-        return -1
-    nz = np.flatnonzero(mags > eps * scale)
-    return int(nz[-1])
-
-
-def _gcd_degree(a: np.ndarray, b: np.ndarray, eps: float) -> int:
-    """Degree of the (tolerant) polynomial GCD of two coefficient vectors.
-
-    Euclid's algorithm with max-norm renormalization at each step; a
-    remainder whose coefficients all fall below ``eps`` relative to its
-    dividend counts as zero.
-    """
-    fa = np.asarray(a, dtype=float)
-    fb = np.asarray(b, dtype=float)
-    da, db = _trimmed_degree(fa, eps), _trimmed_degree(fb, eps)
-    if da < 0:
-        return max(db, 0)
-    if db < 0:
-        return max(da, 0)
-    fa, fb = fa[: da + 1], fb[: db + 1]
-    if da < db:
-        fa, fb = fb, fa
-    while True:
-        fb = fb / np.abs(fb).max()
-        _, rem = npoly.polydiv(fa, fb)
-        d_rem = _trimmed_degree(rem, eps)
-        if d_rem < 0:
-            return _trimmed_degree(fb, eps)
-        fa, fb = fb, rem[: d_rem + 1]
-
-
 def interpolate_minimal(
     pairs: PairSet,
     r_max: int,
@@ -252,9 +217,10 @@ def interpolate_minimal(
     followed by the projections onto it of a fixed probe vector and of each
     coordinate axis, which depend on the null space and not on the basis
     the SVD picks in it. A candidate is rejected when its leading denominator
-    coefficient is below the policy's zero test (not proper at order r),
-    when its denominator vanishes at a pair's point, or when its two
-    polynomials share a factor (it deflates to a lower order). The first
+    coefficient is below the policy's zero test (not proper at order r) or
+    when its denominator vanishes at a pair's point. In exact arithmetic a
+    candidate whose polynomials share a factor deflates to an interpolant of
+    lower order, which the search meets first, so it needs no test. The first
     admissible candidate is normalized to a monic denominator and returned,
     so the result is minimal by search order.
 
@@ -300,7 +266,7 @@ def interpolate_minimal(
 
     # A fixed vector with no rational relations among its entries, so its
     # projection onto a null space avoids the inadmissible vectors in it
-    # (a_r = 0, a(sigma_j) = 0, a common factor) unless they fill it.
+    # (a_r = 0 or a(sigma_j) = 0) unless they fill it.
     probe = np.cos(np.arange(2 * r_top + 2))
     for r in range(r_top + 1):
         cols = 2 * r + 2
@@ -322,8 +288,6 @@ def interpolate_minimal(
                 continue
             a, b = a / size, b / size
             if np.any(np.abs(a @ w[: r + 1]) <= eps * scale[r]):
-                continue
-            if r >= 1 and _gcd_degree(a, b, eps) > 0:
                 continue
             params = SystemParams(r, a[:-1] / a[-1], b / a[-1])
             fitted = npoly.polyval(z, params.q) / npoly.polyval(z, np.append(params.p, 1.0))

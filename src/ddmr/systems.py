@@ -134,21 +134,20 @@ def transfer_kinds(pv, qv, zero_tol) -> np.ndarray:
                     np.where(np.abs(qv) > zero_tol, "pole", "indeterminate"))
 
 
-def eval_transfer(params: SystemParams, sigma: complex, zero_tol: float | None = None) -> TransferValue:
+def eval_transfer(params: SystemParams, sigma: complex) -> TransferValue:
     """Transfer-function value of the model at ``sigma``.
 
     With the monic denominator P = ``[p, 1]`` and the numerator Q = ``q``
     (ascending powers), returns Q(sigma)/P(sigma) when the denominator is
-    nonzero (up to ``zero_tol``), a "pole" when only P vanishes, and
-    "indeterminate" when both vanish.
+    nonzero (up to :func:`poly_zero_tol`), a "pole" when only P vanishes,
+    and "indeterminate" when both vanish.
     """
     sigma = complex(sigma)
     if not cmath.isfinite(sigma):
         raise ValueError("sigma must be finite")
-    tol = poly_zero_tol(params.order, sigma) if zero_tol is None else float(zero_tol)
     pv = complex(npoly.polyval(sigma, np.concatenate([params.p, [1.0]])))
     qv = complex(npoly.polyval(sigma, params.q))
-    kind = str(transfer_kinds(pv, qv, tol))
+    kind = str(transfer_kinds(pv, qv, poly_zero_tol(params.order, sigma)))
     return TransferValue(kind, qv / pv if kind == "value" else None)
 
 

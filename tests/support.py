@@ -12,7 +12,6 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from ddmr.interpolation import _gcd_degree
 from ddmr.signals import DataSet, TimeSeries, hankel, hankel_trimmed
 from ddmr.systems import SystemParams, eval_transfer, simulate
 
@@ -164,9 +163,10 @@ def exists_interpolant(pairs, r: int, rng, tries: int = 100, fit_tol: float = 1e
 # --- reference interpolation layer (per-pair loops, per-order full SVD) ------
 #
 # A line-by-line copy of the interpolation layer before it moved to one QR
-# and sort-based matching. The library must give the same answers: the same
-# errors and messages, the same pair order, the same minimal order, and the
-# same coefficients up to rounding.
+# and sort-based matching, with the common-factor (GCD) rejection that the
+# library has since dropped. The library must give the same errors and
+# messages, the same pair order, the same minimal order, and the same
+# coefficients up to rounding where the null space has one dimension.
 
 PARTNER_ATOL = 1e-12
 CONJUGATE_TOL = 1e-6
@@ -215,6 +215,41 @@ def reference_require_closed(pairs) -> None:
             )
 
 
+def _reference_trimmed_degree(coeffs: np.ndarray, eps: float) -> int:
+    mags = np.abs(coeffs)
+    scale = mags.max()
+    if scale <= eps:
+        return -1
+    nz = np.flatnonzero(mags > eps * scale)
+    return int(nz[-1])
+
+
+def _reference_gcd_degree(a: np.ndarray, b: np.ndarray, eps: float) -> int:
+    """Degree of the (tolerant) polynomial GCD of two coefficient vectors.
+
+    Euclid's algorithm with max-norm renormalization at each step; a
+    remainder whose coefficients all fall below ``eps`` relative to its
+    dividend counts as zero.
+    """
+    fa = np.asarray(a, dtype=float)
+    fb = np.asarray(b, dtype=float)
+    da, db = _reference_trimmed_degree(fa, eps), _reference_trimmed_degree(fb, eps)
+    if da < 0:
+        return max(db, 0)
+    if db < 0:
+        return max(da, 0)
+    fa, fb = fa[: da + 1], fb[: db + 1]
+    if da < db:
+        fa, fb = fb, fa
+    while True:
+        fb = fb / np.abs(fb).max()
+        _, rem = npoly.polydiv(fa, fb)
+        d_rem = _reference_trimmed_degree(rem, eps)
+        if d_rem < 0:
+            return _reference_trimmed_degree(fb, eps)
+        fa, fb = fb, rem[: d_rem + 1]
+
+
 def _reference_powers(sigma: complex, r: int) -> np.ndarray:
     return np.cumprod(np.concatenate([[1.0], np.full(r, sigma)]).astype(complex))
 
@@ -228,7 +263,7 @@ def _reference_candidate(v, r: int, pairs, eps: float):
         scale = float(np.linalg.norm(_reference_powers(pair.sigma, r)))
         if abs(npoly.polyval(pair.sigma, a)) <= eps * scale:
             return None
-    if r >= 1 and _gcd_degree(a, b, eps) > 0:
+    if r >= 1 and _reference_gcd_degree(a, b, eps) > 0:
         return None
     return SystemParams(r, a[:-1] / a[-1], b / a[-1])
 
@@ -255,6 +290,34 @@ def reference_interpolate_minimal(pairs, r_max: int, policy) -> SystemParams:
             if params is not None:
                 return params
     raise ValueError(f"order budget exhausted: no admissible interpolant with order <= {r_max}")
+
+
+# --- reference complex-literal scanner ---------------------------------------
+
+def reference_parse_complex(text: str) -> complex:
+    """The CLI's ``a+bi`` parser before it handed the literal to ``complex``:
+    split at the last sign that does not follow an exponent marker."""
+    s = text.strip()
+    if not s or any(ch.isspace() for ch in s):
+        raise ValueError(f"invalid complex literal {text!r}")
+    if s.endswith("i"):
+        body = s[:-1]
+        re_part = ""
+        im_part = body
+        for k in range(len(body) - 1, 0, -1):
+            if body[k] in "+-" and body[k - 1] not in "eE":
+                re_part, im_part = body[:k], body[k:]
+                break
+        if im_part in ("", "+", "-"):
+            im_part += "1"
+        try:
+            return complex(float(re_part) if re_part else 0.0, float(im_part))
+        except ValueError:
+            raise ValueError(f"invalid complex literal {text!r}") from None
+    try:
+        return complex(float(s), 0.0)
+    except ValueError:
+        raise ValueError(f"invalid complex literal {text!r}") from None
 
 
 # --- Loewner-rank oracle for the minimal order --------------------------------

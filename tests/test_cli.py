@@ -1,12 +1,15 @@
 import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ddmr.cli import format_complex, main, parse_complex
 from ddmr.signals import load_csv
 
-from support import RL_REFERENCE_MODEL
+from support import RL_REFERENCE_MODEL, reference_parse_complex
 
 RL_SIGMA_ARGS = [
     "--sigma", "0",
@@ -46,15 +49,41 @@ class TestParseComplex:
             ("1e-3", 1e-3 + 0j),
             ("1e-3+2e-4i", 1e-3 + 2e-4j),
             ("1+i", 1 + 1j),
+            ("+i", 1j),
+            ("1_0i", 10j),
+            ("infi", complex(0.0, float("inf"))),
         ],
     )
     def test_accepts(self, text, expected):
         assert parse_complex(text) == expected
 
-    @pytest.mark.parametrize("text", ["", "bogus", "1+2", "1 + 2i", "2i+1", "i2", "1..2"])
+    @pytest.mark.parametrize("text", ["", "bogus", "1+2", "1 + 2i", "2i+1", "i2", "1..2", "1+2j", "(1+2i)"])
     def test_rejects(self, text):
         with pytest.raises(ValueError, match="invalid complex literal"):
             parse_complex(text)
+
+    @settings(max_examples=1000)
+    @given(st.one_of(
+        st.lists(st.sampled_from([*"0123456789+-.eEijJ()_ ", "inf", "nan"]), max_size=10).map("".join),
+        st.tuples(st.floats(), st.floats()).map(lambda z: f"{z[0]!r}{z[1]:+}i"),
+    ))
+    @example("1+2j")
+    @example("(1+2i)")
+    @example("1_0i")
+    @example("infi")
+    @example("+i")
+    def test_same_literals_and_values_as_scanner(self, text):
+        # The scanner the parser replaced is the oracle: the same literals
+        # are refused, and accepted ones give the same bits, signed zeros
+        # and NaNs included.
+        def outcome(parse):
+            try:
+                z = parse(text)
+            except ValueError as exc:
+                return str(exc)
+            return struct.pack("<dd", z.real, z.imag)
+
+        assert outcome(parse_complex) == outcome(reference_parse_complex)
 
     def test_format_roundtrip_style(self):
         assert format_complex(0.5 + 0j) == "0.5"
@@ -347,3 +376,28 @@ def test_help_exits_zero(capsys):
     code, out, _ = run_cli(["--help"], capsys)
     assert code == 0
     assert "check" in out and "reduce" in out
+
+
+class TestRegistration:
+    def test_check_and_value_json_identical(self, capsys):
+        reports = [run_cli([name, "--data", "@paper-rl", "--order", "4", *RL_SIGMA_ARGS, "--json"], capsys)
+                   for name in ("check", "value")]
+        assert reports[0] == reports[1]
+        assert reports[0][0] == 2
+
+    def test_value_table_adds_the_m_column(self, capsys):
+        args = ["--data", "@paper-rl", "--order", "4", "--sigma", "0.5", "--sigma", "1"]
+        _, check_out, _ = run_cli(["check", *args], capsys)
+        _, value_out, _ = run_cli(["value", *args], capsys)
+        assert [line.split() for line in value_out.splitlines()] == [
+            line.split() + [m] for line, m in zip(check_out.splitlines(), ["m", "-0.298168", "null"])]
+
+    def test_help_lists_every_command(self, capsys):
+        _, out, _ = run_cli(["--help"], capsys)
+        assert out.split("Commands:\n", 1)[1] == (
+            "  check     Decide informativity for interpolation at each requested point.\n"
+            "  reduce    Fit a minimal rational interpolant through the recovered values.\n"
+            "  simulate  Simulate a model over the input column of a record; emits...\n"
+            "  value     Recover transfer-function values at each informative point.\n"
+            "  verify    Check a model's transfer values against point/value pairs.\n"
+        )

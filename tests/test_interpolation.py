@@ -20,7 +20,6 @@ from ddmr.interpolation import (
     interpolate_minimal,
     verify_interpolation,
 )
-from ddmr.interpolation import _gcd_degree
 from ddmr.signals import DataSet
 from ddmr.systems import SystemParams, eval_transfer, simulate
 
@@ -369,6 +368,22 @@ class TestAgainstReference:
                         assert verify_interpolation(got[1], pairs, tol).ok, (points, ms)
         assert lower > 0
 
+    @pytest.mark.parametrize("points, values", [
+        ((-0.2, -0.1, 0.2), (-1.0, 0.0, 3.0)),
+        ((-0.1, 0.0, 0.1), (1e3, 0.5, 1e3)),
+    ])
+    def test_sets_once_rejected_for_a_common_factor(self, points, values):
+        # The search's first admissible order-2 candidate was once rejected
+        # by a Euclid common-factor test: in the first set its polynomials
+        # have nearly common roots (-0.020836 and -0.020869), in the second
+        # none. The search now returns it, so only the order and the fit
+        # are compared, not the coefficients.
+        pairs = PairSet(tuple(InterpolationPair(s, m) for s, m in zip(points, values)))
+        policy = RankTolerance(5e-6)
+        model = interpolate_minimal(pairs, r_max=4, tol_policy=policy)
+        assert model.order == reference_interpolate_minimal(pairs.pairs, 4, policy).order == 2
+        assert verify_interpolation(model, pairs, tol=1e-9 * max(abs(m) for m in values)).ok
+
     def test_short_pair_set_exhausts_like_reference(self):
         # |m| far above 1/zero_tol: every candidate at every order has a
         # vanishing denominator, including the short orders r >= 1.
@@ -440,20 +455,6 @@ class TestLoewnerOracle:
             pairs = conjugate_close(PairSet(tuple(InterpolationPair(v.sigma, v.m) for v in verdicts)))
             model = interpolate_minimal(pairs, r_max=order + 2, tol_policy=CLEAN_POLICY)
             assert model.order == loewner_rank(pairs.pairs) == order
-
-
-class TestGcdDegree:
-    def test_coprime(self):
-        assert _gcd_degree(np.array([1.0, 1.0]), np.array([2.0, 0.0]), 1e-9) == 0
-
-    def test_common_linear_factor(self):
-        # (z - 1)(z + 2) and (z - 1)(z - 3)
-        a = npoly.polyfromroots([1.0, -2.0])
-        b = npoly.polyfromroots([1.0, 3.0])
-        assert _gcd_degree(a, b, 1e-9) == 1
-
-    def test_zero_numerator(self):
-        assert _gcd_degree(np.array([0.5, 1.0]), np.array([0.0, 0.0]), 1e-9) == 1
 
 
 class TestVerifyInterpolation:
